@@ -44,6 +44,13 @@ const bytesSlackPct = 25
 // the measured numbers back to the budget file. The benchmark must
 // ReportAllocs or rely on testing.Benchmark's built-in MemAllocs
 // tracking (always on for the returned BenchmarkResult).
+//
+// Budgets are steady-state figures, so a closure that reuses a buffer
+// across calls (dst = kernel(..., dst[:0])) must bring that buffer to
+// steady state before b.ResetTimer: run the kernel over its inputs once,
+// then reset. Per-op figures are integer totals divided by b.N, so a
+// one-time cost left inside the timed loop reads as 1 B/op wherever b.N
+// is smaller than its byte total, that is, on any machine slow enough.
 func Gate(t *testing.T, kernel string, bench func(b *testing.B)) {
 	t.Helper()
 	if raceEnabled {
@@ -76,13 +83,24 @@ func Gate(t *testing.T, kernel string, bench func(b *testing.B)) {
 		t.Fatalf("allocbudget: no budget for %s in %s; run `make benchmem` to record one", kernel, BudgetFile)
 	}
 	if got.AllocsPerOp > want.AllocsPerOp {
-		t.Errorf("allocbudget: %s allocates %d allocs/op, budget is %d; fix the regression or re-budget with `make benchmem`",
-			kernel, got.AllocsPerOp, want.AllocsPerOp)
+		t.Errorf("allocbudget: %s allocates %d allocs/op, budget is %d; %s",
+			kernel, got.AllocsPerOp, want.AllocsPerOp, totals(res))
 	}
 	if limit := want.BytesPerOp + want.BytesPerOp*bytesSlackPct/100; got.BytesPerOp > limit {
-		t.Errorf("allocbudget: %s allocates %d B/op, budget is %d (+%d%% slack = %d); fix the regression or re-budget with `make benchmem`",
-			kernel, got.BytesPerOp, want.BytesPerOp, bytesSlackPct, limit)
+		t.Errorf("allocbudget: %s allocates %d B/op, budget is %d (+%d%% slack = %d); %s",
+			kernel, got.BytesPerOp, want.BytesPerOp, bytesSlackPct, limit, totals(res))
 	}
+}
+
+// totals reports the measured run behind an over-budget per-op figure.
+// A total that grows with N is a per-call allocation to fix; a fixed
+// total divided by a small N is one-time set-up left in the timed loop,
+// which belongs before b.ResetTimer, not in a re-recorded budget.
+func totals(res testing.BenchmarkResult) string {
+	return fmt.Sprintf("measured %d allocs and %d B in total over N=%d: "+
+		"a total that grows with N is a per-call regression to fix; "+
+		"a fixed total is one-time set-up to move before b.ResetTimer, not a budget to re-record",
+		res.MemAllocs, res.MemBytes, res.N)
 }
 
 // budgetPath walks up from the working directory to the module root
